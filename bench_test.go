@@ -217,6 +217,50 @@ func BenchmarkAblationMultiChoiceJQ(b *testing.B) {
 			}
 		}
 	})
+	// estimator: a warm per-pool Estimator scoring each of the pool's
+	// 255 non-empty juries once (no memo hits; mean jury size 4). A fresh
+	// Estimator, built off the clock, starts every cycle.
+	b.Run("estimator", func(b *testing.B) {
+		var juries [][]int
+		for mask := 1; mask < 1<<len(pool); mask++ {
+			var jury []int
+			for k := range pool {
+				if mask&(1<<k) != 0 {
+					jury = append(jury, k)
+				}
+			}
+			juries = append(juries, jury)
+		}
+		var est *multichoice.Estimator
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if i%len(juries) == 0 {
+				b.StopTimer()
+				var err error
+				if est, err = multichoice.NewEstimator(pool, prior, 50); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			if _, err := est.Eval(juries[i%len(juries)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// estimator+memo: a jury the Estimator has already scored.
+	b.Run("estimator+memo", func(b *testing.B) {
+		est, err := multichoice.NewEstimator(pool, prior, 50)
+		if err != nil {
+			b.Fatal(err)
+		}
+		all := []int{0, 1, 2, 3, 4, 5, 6, 7}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := est.Eval(all); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkAblationExperimentScale regenerates the two ablation artifacts.

@@ -134,10 +134,12 @@
 //     bucketed JQ estimate, the default), "greedy" (informativeness-
 //     ranked), "exhaustive" (exact enumeration for small pools), plus a
 //     JQ endpoint that scores an explicit jury (estimate or exact).
-//     The bucketed DP iterates its state maps in sorted-key order, so
-//     multi-choice JQ is a pure function of its inputs — map iteration
-//     order would otherwise leak into the last ULPs and break both
-//     cache determinism and bit-exact WAL replay.
+//     The bucketed DP runs on a per-pool multichoice.Estimator that
+//     scores every jury in ascending pool order and sums its float
+//     terms in one fixed order, so multi-choice JQ is a pure function
+//     of the jury *set* and its inputs — which both cache determinism
+//     and bit-exact WAL replay require. Annealing revisits are answered
+//     from the estimator's memo.
 //   - Durability: multi-pool mutations (create, register, ingest, drop)
 //     journal through the same WAL and snapshot codecs as the binary
 //     registry; records carry the resolved prior strength, and both the

@@ -1,6 +1,8 @@
 // Package anneal provides the simulated-annealing substrate used by the
 // jury-selection heuristics (Section 5.1 of Zheng et al., EDBT 2015):
-// a geometric cooling schedule and the Boltzmann acceptance rule.
+// a geometric cooling schedule, the Boltzmann acceptance rule, and
+// Search, the one Algorithm 3/4 loop over candidate index sets that the
+// binary and multi-choice selectors share.
 //
 // The paper's Algorithm 3 halves the temperature from 1.0 until it falls
 // below ε, performing N local searches per temperature level; a move that

@@ -2,7 +2,6 @@ package multichoice
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -114,155 +113,31 @@ const DefaultEstimateBuckets = 50
 //
 //	H(t') = Σ_{V : BV(V) = t'} P(V | t')
 //
-// with a map from bucketed (ℓ−1)-tuples of log-posterior margins
-// ln(prior[t']·P(V|t')) − ln(prior[j]·P(V|j)) (j ≠ t') to probability
-// mass, expanding one worker per iteration; JQ = Σ_{t'} prior[t']·H(t').
-// BV(V) = t' corresponds to all margins ≥ 0, with ties broken toward the
-// smaller label (strict margin required against j < t').
+// over bucketed (ℓ−1)-tuples of log-posterior margins
+// ln(prior[t']·P(V|t')) − ln(prior[j]·P(V|j)) (j ≠ t'), expanding one
+// worker per iteration; JQ = Σ_{t'} prior[t']·H(t'). BV(V) = t'
+// corresponds to all margins ≥ 0, with ties broken toward the smaller
+// label (strict margin required against j < t').
 //
 // numBuckets controls the margin resolution per unit of the largest
-// absolute per-worker log-ratio; 0 selects 50. Accuracy improves with more
-// buckets, matching the binary Algorithm 1.
+// absolute per-worker log-ratio; 0 selects 50, and values above
+// MaxEstimateBuckets are rejected. Accuracy improves with more buckets,
+// matching the binary Algorithm 1. EstimateBV is a one-shot Estimator
+// over the whole pool, in pool order.
 func EstimateBV(pool Pool, prior Prior, numBuckets int) (float64, error) {
-	if err := checkVoting(pool, prior, nil); err != nil {
+	e := estimators.Get().(*Estimator)
+	defer func() {
+		e.pool, e.prior = nil, nil
+		estimators.Put(e)
+	}()
+	if err := e.reset(pool, prior, numBuckets); err != nil {
 		return 0, err
 	}
-	if numBuckets == 0 {
-		numBuckets = DefaultEstimateBuckets
+	e.order = e.order[:0]
+	for i := range pool {
+		e.order = append(e.order, i)
 	}
-	if numBuckets < 1 {
-		return 0, fmt.Errorf("multichoice: numBuckets must be positive, got %d", numBuckets)
-	}
-	l, n := pool.Labels(), len(pool)
-
-	// Pre-compute the per-worker log-ratio increments and the global
-	// bucket width: Δ = (max |increment|)/numBuckets.
-	logC := make([][][]float64, n) // [worker][truth][vote]
-	var upper float64
-	for i, w := range pool {
-		logC[i] = make([][]float64, l)
-		for t := 0; t < l; t++ {
-			logC[i][t] = make([]float64, l)
-			for v := 0; v < l; v++ {
-				logC[i][t][v] = math.Log(math.Max(w.Confusion[t][v], logFloor))
-			}
-		}
-		for t1 := 0; t1 < l; t1++ {
-			for t2 := 0; t2 < l; t2++ {
-				for v := 0; v < l; v++ {
-					d := math.Abs(logC[i][t1][v] - logC[i][t2][v])
-					if d > upper {
-						upper = d
-					}
-				}
-			}
-		}
-	}
-	if upper == 0 {
-		// Every worker is label-blind: BV follows the prior alone.
-		best := 0.0
-		for _, p := range prior {
-			if p > best {
-				best = p
-			}
-		}
-		return best, nil
-	}
-	delta := upper / float64(numBuckets)
-	bucket := func(x float64) int32 { return int32(math.Round(x / delta)) }
-
-	var jq float64
-	for tPrime := 0; tPrime < l; tPrime++ {
-		// margin dimensions: every label j ≠ t'.
-		others := make([]int, 0, l-1)
-		for j := 0; j < l; j++ {
-			if j != tPrime {
-				others = append(others, j)
-			}
-		}
-		base := make([]int32, len(others))
-		for d, j := range others {
-			base[d] = bucket(math.Log(math.Max(prior[tPrime], logFloor)) -
-				math.Log(math.Max(prior[j], logFloor)))
-		}
-		// The expansion and the final accumulation walk the state maps in
-		// sorted key order: float addition is not associative, so map
-		// iteration order would otherwise leak into the result's last
-		// ULPs. The serving layer (selection cache, bit-exact WAL replay)
-		// requires JQ to be a pure function of its inputs.
-		states := map[string]float64{encodeKey(base): 1}
-		for i := 0; i < n; i++ {
-			next := make(map[string]float64, len(states)*l)
-			for _, key := range sortedKeys(states) {
-				prob := states[key]
-				margins := decodeKey(key, len(others))
-				for v := 0; v < l; v++ {
-					newMargins := make([]int32, len(others))
-					for d, j := range others {
-						newMargins[d] = margins[d] + bucket(logC[i][tPrime][v]-logC[i][j][v])
-					}
-					next[encodeKey(newMargins)] += prob * math.Exp(logC[i][tPrime][v])
-				}
-			}
-			states = next
-		}
-		var h float64
-		for _, key := range sortedKeys(states) {
-			prob := states[key]
-			margins := decodeKey(key, len(others))
-			wins := true
-			for d, j := range others {
-				if j < tPrime {
-					if margins[d] <= 0 { // strict: smaller label wins ties
-						wins = false
-						break
-					}
-				} else if margins[d] < 0 {
-					wins = false
-					break
-				}
-			}
-			if wins {
-				h += prob
-			}
-		}
-		jq += prior[tPrime] * h
-	}
-	return jq, nil
-}
-
-// sortedKeys returns the map's keys in sorted order, the deterministic
-// iteration order of the bucket DP.
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// encodeKey packs a margin tuple into a map key.
-func encodeKey(margins []int32) string {
-	buf := make([]byte, 4*len(margins))
-	for i, m := range margins {
-		u := uint32(m)
-		buf[4*i] = byte(u)
-		buf[4*i+1] = byte(u >> 8)
-		buf[4*i+2] = byte(u >> 16)
-		buf[4*i+3] = byte(u >> 24)
-	}
-	return string(buf)
-}
-
-// decodeKey unpacks a map key into a margin tuple.
-func decodeKey(key string, n int) []int32 {
-	out := make([]int32, n)
-	for i := 0; i < n; i++ {
-		out[i] = int32(uint32(key[4*i]) | uint32(key[4*i+1])<<8 |
-			uint32(key[4*i+2])<<16 | uint32(key[4*i+3])<<24)
-	}
-	return out
+	return e.estimate(e.order)
 }
 
 // Accuracy of the symmetric single-parameter model: a convenience for

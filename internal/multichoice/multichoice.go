@@ -32,6 +32,7 @@ var (
 	ErrEmptyJury    = errors.New("multichoice: empty jury")
 	ErrJuryTooLarge = errors.New("multichoice: jury too large for exact computation")
 	ErrBadBudget    = errors.New("multichoice: negative budget")
+	ErrBadBuckets   = errors.New("multichoice: numBuckets out of range")
 )
 
 // ConfusionMatrix is an ℓ×ℓ row-stochastic matrix: entry [j][k] is the

@@ -2,6 +2,7 @@ package multichoice
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -67,11 +68,8 @@ func RankWorkers(pool Pool) []int {
 // budget, then score the resulting jury once. A baseline against
 // SelectAnnealing, in the spirit of the binary GreedyQuality selector.
 func GreedyByInformativeness(pool Pool, budget float64, prior Prior, obj Objective) (SelectionResult, error) {
-	if err := checkVoting(pool, prior, nil); err != nil {
+	if err := checkSelect(pool, budget, prior); err != nil {
 		return SelectionResult{}, err
-	}
-	if budget < 0 || budget != budget {
-		return SelectionResult{}, ErrBadBudget
 	}
 	var cost float64
 	var chosen []int
@@ -83,13 +81,7 @@ func GreedyByInformativeness(pool Pool, budget float64, prior Prior, obj Objecti
 	}
 	sort.Ints(chosen)
 	if len(chosen) == 0 {
-		best := 0.0
-		for _, p := range prior {
-			if p > best {
-				best = p
-			}
-		}
-		return SelectionResult{Indices: []int{}, JQ: best}, nil
+		return SelectionResult{Indices: []int{}, JQ: slices.Max(prior)}, nil
 	}
 	jury := pool.Subset(chosen)
 	score, err := obj(jury, prior)

@@ -3,6 +3,7 @@ package multichoice
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/anneal"
@@ -34,146 +35,89 @@ func ExactObjective(jury Pool, prior Prior) (float64, error) {
 }
 
 // SelectAnnealing solves the multi-choice JSP with the same Algorithm 3/4
-// annealing as the binary case, treating the JQ computation as a black box
-// (Section 7, "Jury Selection Problem Extension").
+// annealing as the binary case (anneal.Search), treating the JQ
+// computation as a black box (Section 7, "Jury Selection Problem
+// Extension"). obj scores each candidate jury as pool.Subset of its
+// members in ascending pool order, so a jury's score depends only on the
+// set. Evaluations counts the non-empty juries scored.
 func SelectAnnealing(pool Pool, budget float64, prior Prior, obj Objective, seed int64) (SelectionResult, error) {
-	if err := checkVoting(pool, prior, nil); err != nil {
+	if err := checkSelect(pool, budget, prior); err != nil {
 		return SelectionResult{}, err
 	}
-	if budget < 0 || budget != budget {
-		return SelectionResult{}, fmt.Errorf("multichoice: negative budget %v", budget)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	n := len(pool)
-
-	priorOnly := 0.0
-	for _, p := range prior {
-		if p > priorOnly {
-			priorOnly = p
-		}
-	}
-	evals := 0
-	score := func(members []int) (float64, error) {
-		if len(members) == 0 {
-			return priorOnly, nil
-		}
-		evals++
-		return obj(pool.Subset(members), prior)
-	}
-
-	selected := make([]bool, n)
-	var members []int
-	var cost float64
-	curJQ := priorOnly
-	bestJQ, bestMembers, bestCost := curJQ, []int(nil), 0.0
-
-	var loopErr error
-	_, err := anneal.Run(anneal.DefaultSchedule(), func(temp float64) {
-		if loopErr != nil {
-			return
-		}
-		for step := 0; step < n; step++ {
-			r := rng.Intn(n)
-			if !selected[r] && cost+pool[r].Cost <= budget {
-				selected[r] = true
-				members = append(members, r)
-				cost += pool[r].Cost
-				newJQ, err := score(members)
-				if err != nil {
-					loopErr = err
-					return
-				}
-				curJQ = newJQ
-			} else if len(members) > 0 {
-				// Swap a random member against a random non-member.
-				var out, in int
-				if !selected[r] {
-					out, in = members[rng.Intn(len(members))], r
-				} else {
-					free := n - len(members)
-					if free == 0 {
-						continue
-					}
-					pick := rng.Intn(free)
-					in = -1
-					for i := 0; i < n; i++ {
-						if !selected[i] {
-							if pick == 0 {
-								in = i
-								break
-							}
-							pick--
-						}
-					}
-					out = r
-				}
-				newCost := cost - pool[out].Cost + pool[in].Cost
-				if newCost > budget {
-					continue
-				}
-				candidate := make([]int, 0, len(members))
-				for _, m := range members {
-					if m != out {
-						candidate = append(candidate, m)
-					}
-				}
-				candidate = append(candidate, in)
-				newJQ, err := score(candidate)
-				if err != nil {
-					loopErr = err
-					return
-				}
-				if anneal.Accept(newJQ-curJQ, temp, rng) {
-					selected[out] = false
-					selected[in] = true
-					members = candidate
-					cost = newCost
-					curJQ = newJQ
-				}
-			}
-			if curJQ > bestJQ {
-				bestJQ = curJQ
-				bestMembers = append([]int(nil), members...)
-				bestCost = cost
-			}
-		}
+	var sorted []int
+	return selectAnnealing(pool, budget, prior, seed, func(members []int) (float64, error) {
+		sorted = append(sorted[:0], members...)
+		sort.Ints(sorted)
+		return obj(pool.Subset(sorted), prior)
 	})
+}
+
+// SelectAnnealingEstimate is SelectAnnealing(pool, budget, prior,
+// EstimateObjective(numBuckets), seed) run on one Estimator for the pool:
+// the same jury, JQ bits and Evaluations, without re-deriving per-worker
+// state on every move or re-scoring a jury the search revisits.
+func SelectAnnealingEstimate(pool Pool, budget float64, prior Prior, numBuckets int, seed int64) (SelectionResult, error) {
+	if err := checkSelect(pool, budget, prior); err != nil {
+		return SelectionResult{}, err
+	}
+	est, err := NewEstimator(pool, prior, numBuckets)
 	if err != nil {
 		return SelectionResult{}, err
 	}
-	if loopErr != nil {
-		return SelectionResult{}, loopErr
+	return selectAnnealing(pool, budget, prior, seed, est.Eval)
+}
+
+// selectAnnealing runs anneal.Search over the pool's index sets, scoring
+// the empty jury from the prior and every other one with eval.
+func selectAnnealing(pool Pool, budget float64, prior Prior, seed int64, eval func([]int) (float64, error)) (SelectionResult, error) {
+	costs := make([]float64, len(pool))
+	for i, w := range pool {
+		costs[i] = w.Cost
 	}
-	sort.Ints(bestMembers)
+	priorOnly := slices.Max(prior)
+	evals := 0
+	best, err := anneal.Search(costs, budget, anneal.DefaultSchedule(), rand.New(rand.NewSource(seed)), false,
+		func(members []int) (float64, error) {
+			if len(members) == 0 {
+				return priorOnly, nil
+			}
+			evals++
+			return eval(members)
+		})
+	if err != nil {
+		return SelectionResult{}, err
+	}
 	return SelectionResult{
-		Jury:        pool.Subset(bestMembers),
-		Indices:     bestMembers,
-		JQ:          bestJQ,
-		Cost:        bestCost,
+		Jury:        pool.Subset(best.Members),
+		Indices:     best.Members,
+		JQ:          best.Score,
+		Cost:        best.Cost,
 		Evaluations: evals,
 	}, nil
+}
+
+// checkSelect validates a selection's pool, prior and budget.
+func checkSelect(pool Pool, budget float64, prior Prior) error {
+	if err := checkVoting(pool, prior, nil); err != nil {
+		return err
+	}
+	if budget < 0 || budget != budget {
+		return fmt.Errorf("%w: %v", ErrBadBudget, budget)
+	}
+	return nil
 }
 
 // SelectExhaustive enumerates every feasible multi-choice jury; ground
 // truth for small pools.
 func SelectExhaustive(pool Pool, budget float64, prior Prior, obj Objective) (SelectionResult, error) {
-	if err := checkVoting(pool, prior, nil); err != nil {
+	if err := checkSelect(pool, budget, prior); err != nil {
 		return SelectionResult{}, err
-	}
-	if budget < 0 || budget != budget {
-		return SelectionResult{}, fmt.Errorf("multichoice: negative budget %v", budget)
 	}
 	n := len(pool)
 	if n > 20 {
 		return SelectionResult{}, fmt.Errorf("%w: N=%d", ErrJuryTooLarge, n)
 	}
-	priorOnly := 0.0
-	for _, p := range prior {
-		if p > priorOnly {
-			priorOnly = p
-		}
-	}
-	best := SelectionResult{JQ: priorOnly, Indices: []int{}}
+	best := SelectionResult{JQ: slices.Max(prior), Indices: []int{}}
 	evals := 0
 	for mask := 1; mask < 1<<uint(n); mask++ {
 		var cost float64

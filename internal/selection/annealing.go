@@ -14,15 +14,9 @@ import (
 const restartSeedStride = 0x9E3779B9
 
 // Annealing is the simulated-annealing JSP heuristic of Algorithm 3, with
-// the add-or-swap local search of Algorithm 4. The state is the selection
-// vector X over the N candidates; at each of the N local searches per
-// temperature level a random candidate r is drawn and either added (when it
-// fits the remaining budget) or swapped against a random member/non-member,
-// accepting worsening swaps with Boltzmann probability exp(Δ/T).
-//
-// Unlike the paper's pseudo-code, the best jury seen across the whole run
-// is returned rather than the final state; this never hurts and makes the
-// returned quality monotone in the number of iterations.
+// the add-or-swap local search of Algorithm 4, run by anneal.Search over
+// the candidates' index sets. It returns the best jury seen across the
+// whole run rather than the final state.
 //
 // Objective evaluations go through the objective's Evaluator fast path
 // (see EvaluatorProvider): the per-pool setup runs once per restart, and
@@ -96,166 +90,25 @@ func (a Annealing) Select(pool worker.Pool, budget, alpha float64) (Result, erro
 	return best, nil
 }
 
-// annealSearch is the mutable state of one annealing pass: the selection
-// vector, the member list, and the scratch buffer the swap move builds
-// candidate juries in. members and spare are two fixed backing arrays
-// that trade roles when a move is accepted, so the whole search allocates
-// nothing per move.
-type annealSearch struct {
-	costs        []float64
-	eval         Evaluator
-	budget       float64
-	rng          *rand.Rand
-	allowRemoval bool
-
-	selected []bool // X
-	members  []int
-	spare    []int
-	cost     float64 // M
-	curJQ    float64
-	evals    int
-}
-
-func (s *annealSearch) objective(indices []int) (float64, error) {
-	s.evals++
-	return s.eval.Eval(indices)
-}
-
-// run executes one annealing pass (Algorithm 3).
+// run executes one annealing pass (Algorithm 3) on a fresh evaluator.
 func (a Annealing) run(pool worker.Pool, budget, alpha float64, schedule anneal.Schedule, rng *rand.Rand) (Result, error) {
-	n := len(pool)
 	eval, err := newEvaluator(a.Objective, pool, alpha)
 	if err != nil {
 		return Result{}, err
 	}
-	s := &annealSearch{
-		costs:        pool.Costs(),
-		eval:         eval,
-		budget:       budget,
-		rng:          rng,
-		allowRemoval: a.AllowRemoval,
-		selected:     make([]bool, n),
-		members:      make([]int, 0, n),
-		spare:        make([]int, 0, n),
-	}
-
-	s.curJQ, err = s.objective(s.members)
-	if err != nil {
-		return Result{}, err
-	}
-	bestJQ := s.curJQ
-	bestMembers := append([]int(nil), s.members...)
-	bestCost := s.cost
-
-	var loopErr error
-	_, err = anneal.Run(schedule, func(temp float64) {
-		if loopErr != nil {
-			return
-		}
-		for step := 0; step < n; step++ {
-			r := s.rng.Intn(n)
-			if !s.selected[r] && s.cost+s.costs[r] <= s.budget {
-				// Add r (Algorithm 3, steps 9–11).
-				s.selected[r] = true
-				s.members = append(s.members, r)
-				s.cost += s.costs[r]
-				newJQ, err := s.objective(s.members)
-				if err != nil {
-					loopErr = err
-					return
-				}
-				s.curJQ = newJQ
-			} else if err := s.swap(r, temp); err != nil {
-				loopErr = err
-				return
-			}
-			if s.curJQ > bestJQ {
-				bestJQ = s.curJQ
-				bestMembers = append(bestMembers[:0], s.members...)
-				bestCost = s.cost
-			}
-		}
+	evals := 0
+	best, err := anneal.Search(pool.Costs(), budget, schedule, rng, a.AllowRemoval, func(members []int) (float64, error) {
+		evals++
+		return eval.Eval(members)
 	})
 	if err != nil {
 		return Result{}, err
 	}
-	if loopErr != nil {
-		return Result{}, loopErr
-	}
-	indices := sortedCopy(bestMembers)
 	return Result{
-		Jury:        pool.Subset(indices),
-		Indices:     indices,
-		JQ:          bestJQ,
-		Cost:        bestCost,
-		Evaluations: s.evals,
+		Jury:        pool.Subset(best.Members),
+		Indices:     best.Members,
+		JQ:          best.Score,
+		Cost:        best.Cost,
+		Evaluations: evals,
 	}, nil
-}
-
-// swap implements Algorithm 4: exchange one selected worker against one
-// unselected worker, accepting by the Boltzmann rule.
-func (s *annealSearch) swap(r int, temp float64) error {
-	n := len(s.selected)
-	var out, in int // out leaves the jury, in enters
-	if !s.selected[r] {
-		if len(s.members) == 0 {
-			return nil // nothing to swap against
-		}
-		out = s.members[s.rng.Intn(len(s.members))]
-		in = r
-	} else {
-		free := n - len(s.members)
-		if free == 0 {
-			return nil // everyone is already selected
-		}
-		pick := s.rng.Intn(free)
-		in = -1
-		for i := 0; i < n; i++ {
-			if !s.selected[i] {
-				if pick == 0 {
-					in = i
-					break
-				}
-				pick--
-			}
-		}
-		out = r
-	}
-	newCost := s.cost - s.costs[out] + s.costs[in]
-	candidate := s.spare[:0]
-	for _, m := range s.members {
-		if m != out {
-			candidate = append(candidate, m)
-		}
-	}
-	if newCost > s.budget {
-		if !s.allowRemoval || !s.selected[out] {
-			return nil
-		}
-		// Extension: fall back to removing `out` alone.
-		newJQ, err := s.objective(candidate)
-		if err != nil {
-			return err
-		}
-		if anneal.Accept(newJQ-s.curJQ, temp, s.rng) {
-			s.selected[out] = false
-			s.members, s.spare = candidate, s.members
-			s.cost -= s.costs[out]
-			s.curJQ = newJQ
-		}
-		return nil
-	}
-	candidate = append(candidate, in)
-	newJQ, err := s.objective(candidate)
-	if err != nil {
-		return err
-	}
-	if anneal.Accept(newJQ-s.curJQ, temp, s.rng) {
-		s.selected[out] = false
-		s.selected[in] = true
-		s.members, s.spare = candidate, s.members
-		s.cost = newCost
-		s.curJQ = newJQ
-	}
-	return nil
 }

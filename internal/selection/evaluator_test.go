@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/anneal"
 	"repro/internal/datagen"
 	"repro/internal/jq"
 	"repro/internal/worker"
@@ -152,30 +153,10 @@ func TestAnnealingHitsEstimatorMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	eval := &bvEvaluator{est: est, alpha: 0.5}
-	s := &annealSearch{
-		costs:    pool.Costs(),
-		eval:     eval,
-		budget:   0.4,
-		rng:      rand.New(rand.NewSource(3)),
-		selected: make([]bool, len(pool)),
-		members:  make([]int, 0, len(pool)),
-		spare:    make([]int, 0, len(pool)),
-	}
-	if s.curJQ, err = s.objective(s.members); err != nil {
+	// ~4000 local searches held near T = 0.5.
+	hot := anneal.Schedule{InitialTemp: 0.5, Cooling: 0.999, Epsilon: 0.44}
+	if _, err := anneal.Search(pool.Costs(), 0.4, hot, rand.New(rand.NewSource(3)), false, eval.Eval); err != nil {
 		t.Fatal(err)
-	}
-	for step := 0; step < 4000; step++ {
-		r := s.rng.Intn(len(pool))
-		if !s.selected[r] && s.cost+s.costs[r] <= s.budget {
-			s.selected[r] = true
-			s.members = append(s.members, r)
-			s.cost += s.costs[r]
-			if s.curJQ, err = s.objective(s.members); err != nil {
-				t.Fatal(err)
-			}
-		} else if err := s.swap(r, 0.5); err != nil {
-			t.Fatal(err)
-		}
 	}
 	stats := est.Stats()
 	if stats.Hits == 0 {

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strconv"
 	"sync"
+
+	"repro/internal/multichoice"
 )
 
 // DefaultCacheSize is the selection cache's default entry capacity.
@@ -47,8 +49,9 @@ func (s CacheStats) HitRate() float64 {
 }
 
 // SelectionCache is a bounded LRU cache of completed selections — both
-// binary (SelectResponse) and multi-choice (MultiSelectResponse), whose
-// key spaces are disjoint by construction. Keys embed the pool
+// binary (SelectResponse) and multi-choice (the jury's indices and
+// scores, a multichoice.SelectionResult without Jury), whose key spaces
+// are disjoint by construction. Keys embed the pool
 // signature, so entries computed against superseded worker states become
 // unreachable the moment a vote ingest (or any registry mutation)
 // changes a quality, cost, or confusion-matrix entry; LRU eviction
@@ -63,7 +66,7 @@ type SelectionCache struct {
 
 type cacheEntry struct {
 	key string
-	res any // SelectResponse or MultiSelectResponse
+	res any // SelectResponse or multichoice.SelectionResult
 }
 
 // NewSelectionCache builds a cache holding up to capacity entries;
@@ -95,16 +98,16 @@ func (c *SelectionCache) Put(key SelectionKey, res SelectResponse) {
 }
 
 // GetMulti looks up a multi-choice selection, promoting the entry on hit.
-func (c *SelectionCache) GetMulti(key multiSelectionKey) (MultiSelectResponse, bool) {
+func (c *SelectionCache) GetMulti(key multiSelectionKey) (multichoice.SelectionResult, bool) {
 	v, ok := c.lookup(key.String())
 	if !ok {
-		return MultiSelectResponse{}, false
+		return multichoice.SelectionResult{}, false
 	}
-	return v.(MultiSelectResponse), true
+	return v.(multichoice.SelectionResult), true
 }
 
 // PutMulti stores a completed multi-choice selection.
-func (c *SelectionCache) PutMulti(key multiSelectionKey, res MultiSelectResponse) {
+func (c *SelectionCache) PutMulti(key multiSelectionKey, res multichoice.SelectionResult) {
 	c.store(key.String(), res)
 }
 

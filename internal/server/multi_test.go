@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"repro/internal/multichoice"
 )
 
 func fp(v float64) *float64 { return &v }
@@ -534,6 +536,65 @@ func TestMultiLoadRejectsCorruptCounts(t *testing.T) {
 	for name, mutate := range cases {
 		if err := load(mutate); err == nil {
 			t.Errorf("%s: corrupt snapshot recovered cleanly", name)
+		}
+	}
+}
+
+// Regression: margins are int32 bucket counts, and 2^30 buckets used to
+// overflow them into a corrupt estimate served with 200. Both multi routes
+// now reject a resolution beyond multichoice.MaxEstimateBuckets.
+func TestMultiRejectsHugeBuckets(t *testing.T) {
+	_, ts := newMultiTestServer(t)
+	for _, b := range []int{multichoice.MaxEstimateBuckets + 1, 1 << 30, -1} {
+		for _, strategy := range []string{"anneal", "greedy", "exhaustive"} {
+			resp, raw := postJSON(t, ts.URL+"/v1/multi/pools/colors/select",
+				MultiSelectRequest{Budget: 5, Buckets: b, Strategy: strategy})
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("select %s, buckets %d: %d %s, want 400", strategy, b, resp.StatusCode, raw)
+			}
+		}
+		resp, raw := postJSON(t, ts.URL+"/v1/multi/pools/colors/jq",
+			MultiJQRequest{WorkerIDs: []string{"m0", "m1"}, Buckets: b})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("jq, buckets %d: %d %s, want 400", b, resp.StatusCode, raw)
+		}
+	}
+	resp, raw := postJSON(t, ts.URL+"/v1/multi/pools/colors/jq",
+		MultiJQRequest{WorkerIDs: []string{"m0", "m1"}, Buckets: multichoice.MaxEstimateBuckets})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("jq at the bound: %d %s", resp.StatusCode, raw)
+	}
+}
+
+// The anneal strategy runs on a per-pool Estimator; its answer must be
+// the in-process SelectAnnealing with the plain EstimateBV objective, bit
+// for bit — the oracle a client can check a served jury against.
+func TestMultiAnnealMatchesSelectAnnealing(t *testing.T) {
+	s, ts := newMultiTestServer(t)
+	pool, ids, _, labels, err := s.multi.Snapshot("colors", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prior := multichoice.UniformPrior(labels)
+	for seed := int64(0); seed < 8; seed++ {
+		for _, buckets := range []int{0, 7} {
+			want, err := multichoice.SelectAnnealing(pool, 4, prior, multichoice.EstimateObjective(buckets), seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got MultiSelectResponse
+			_, raw := postJSON(t, ts.URL+"/v1/multi/pools/colors/select",
+				MultiSelectRequest{Budget: 4, Buckets: buckets, Seed: &seed})
+			mustDecode(t, raw, &got)
+			if len(got.Jury) != len(want.Indices) || math.Float64bits(got.JQ) != math.Float64bits(want.JQ) ||
+				got.Evaluations != want.Evaluations {
+				t.Fatalf("seed %d buckets %d: served %+v, in-process %+v", seed, buckets, got, want)
+			}
+			for k, idx := range want.Indices {
+				if got.Jury[k].ID != ids[idx] {
+					t.Fatalf("seed %d buckets %d: member %d is %s, want %s", seed, buckets, k, got.Jury[k].ID, ids[idx])
+				}
+			}
 		}
 	}
 }

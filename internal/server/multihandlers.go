@@ -174,6 +174,15 @@ func multiStrategy(strategy string) (name string, seeded bool, err error) {
 	}
 }
 
+// checkBuckets rejects a margin resolution outside [0,
+// multichoice.MaxEstimateBuckets]; 0 selects the default.
+func checkBuckets(buckets int) error {
+	if buckets < 0 || buckets > multichoice.MaxEstimateBuckets {
+		return fmt.Errorf("server: buckets %d outside [0, %d]", buckets, multichoice.MaxEstimateBuckets)
+	}
+	return nil
+}
+
 // selectMulti serves one multi-choice selection: cache lookup on the
 // snapshot signature, then compute-and-fill on miss. The selection runs
 // on the immutable snapshot, outside any lock.
@@ -181,8 +190,8 @@ func (s *Server) selectMulti(ctx context.Context, poolName string, req MultiSele
 	if req.Budget < 0 || req.Budget != req.Budget {
 		return MultiSelectResponse{}, fmt.Errorf("server: bad budget %v", req.Budget)
 	}
-	if req.Buckets < 0 {
-		return MultiSelectResponse{}, fmt.Errorf("server: negative buckets %d", req.Buckets)
+	if err := checkBuckets(req.Buckets); err != nil {
+		return MultiSelectResponse{}, err
 	}
 	if req.Buckets == 0 {
 		// Normalize to the resolved default before keying, like the other
@@ -216,29 +225,32 @@ func (s *Server) selectMulti(ctx context.Context, poolName string, req MultiSele
 	}
 	tr := obs.TraceFrom(ctx)
 	cacheSpan := tr.Begin(obs.StageCache)
-	res, hit := s.cache.GetMulti(key)
+	result, hit := s.cache.GetMulti(key)
 	cacheSpan.End()
-	if hit {
-		res.Cached = true
-		return res, nil
+	if !hit {
+		obj := multichoice.EstimateObjective(req.Buckets)
+		start := time.Now()
+		switch strategyName {
+		case "anneal":
+			result, err = multichoice.SelectAnnealingEstimate(pool, req.Budget, prior, req.Buckets, seed)
+		case "greedy":
+			result, err = multichoice.GreedyByInformativeness(pool, req.Budget, prior, obj)
+		case "exhaustive":
+			result, err = multichoice.SelectExhaustive(pool, req.Budget, prior, obj)
+		}
+		if err != nil {
+			return MultiSelectResponse{}, err
+		}
+		tr.Add(obs.StageEval, start, time.Since(start))
+		s.metrics.SelectionComputed(time.Since(start))
+		// The cache keeps only the jury's indices and scores: the rest of
+		// the response follows from the request and the snapshot the key's
+		// signature pins.
+		s.cache.PutMulti(key, multichoice.SelectionResult{
+			Indices: result.Indices, JQ: result.JQ, Cost: result.Cost, Evaluations: result.Evaluations,
+		})
 	}
-	obj := multichoice.EstimateObjective(req.Buckets)
-	start := time.Now()
-	var result multichoice.SelectionResult
-	switch strategyName {
-	case "anneal":
-		result, err = multichoice.SelectAnnealing(pool, req.Budget, prior, obj, seed)
-	case "greedy":
-		result, err = multichoice.GreedyByInformativeness(pool, req.Budget, prior, obj)
-	case "exhaustive":
-		result, err = multichoice.SelectExhaustive(pool, req.Budget, prior, obj)
-	}
-	if err != nil {
-		return MultiSelectResponse{}, err
-	}
-	tr.Add(obs.StageEval, start, time.Since(start))
-	s.metrics.SelectionComputed(time.Since(start))
-	res = MultiSelectResponse{
+	res := MultiSelectResponse{
 		Pool:        poolName,
 		Labels:      labels,
 		Jury:        make([]MultiJuryMember, len(result.Indices)),
@@ -248,6 +260,7 @@ func (s *Server) selectMulti(ctx context.Context, poolName string, req MultiSele
 		Prior:       prior,
 		Strategy:    strategyName,
 		Evaluations: result.Evaluations,
+		Cached:      hit,
 		Signature:   sig,
 	}
 	for i, idx := range result.Indices {
@@ -257,7 +270,6 @@ func (s *Server) selectMulti(ctx context.Context, poolName string, req MultiSele
 			Informativeness: multichoice.InformativenessScore(pool[idx].Confusion),
 		}
 	}
-	s.cache.PutMulti(key, res)
 	return res, nil
 }
 
@@ -288,8 +300,8 @@ func (s *Server) handleMultiJQ(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, errors.New("server: no worker ids in request"))
 		return
 	}
-	if req.Buckets < 0 {
-		writeError(w, r, fmt.Errorf("server: negative buckets %d", req.Buckets))
+	if err := checkBuckets(req.Buckets); err != nil {
+		writeError(w, r, err)
 		return
 	}
 	poolName := r.PathValue("pool")

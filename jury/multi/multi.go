@@ -64,7 +64,7 @@ type Selection = multichoice.SelectionResult
 // Select solves the multi-choice Jury Selection Problem by simulated
 // annealing over the approximate JQ.
 func Select(pool Pool, budget float64, prior Prior, seed int64) (Selection, error) {
-	return multichoice.SelectAnnealing(pool, budget, prior, multichoice.EstimateObjective(0), seed)
+	return multichoice.SelectAnnealingEstimate(pool, budget, prior, 0, seed)
 }
 
 // InformativenessScore quantifies how much a worker's votes reveal about
