@@ -11,6 +11,7 @@ package repro_test
 import (
 	"bytes"
 	"context"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -413,28 +414,25 @@ func BenchmarkAblationSweepParallel(b *testing.B) {
 // re-runs the annealing search per request — the gap is the amortization
 // the serving subsystem exists to provide. The cached-untraced variant
 // disables request tracing (TraceBuffer: -1); comparing it against
-// cached bounds the span recorder's overhead on the hottest path.
+// cached bounds the span recorder's overhead on the hottest path. The
+// uncached-n128 variant poses jurybench's select-128 problem: 128
+// workers, the k-th with quality k of a grid over [0.55, 0.95) and cost
+// 1 + 3k mod 5, and budgets rotating through 10, 15 and 20.
 func BenchmarkServerSelect(b *testing.B) {
-	run := func(b *testing.B, cacheSize, traceBuffer int) {
+	run := func(b *testing.B, cacheSize, traceBuffer int, specs []server.WorkerSpec, budgets ...string) {
 		srv := server.New(server.Config{Alpha: 0.5, Seed: 1, CacheSize: cacheSize, TraceBuffer: traceBuffer})
-		rng := rand.New(rand.NewSource(42))
-		specs := make([]server.WorkerSpec, 60)
-		for i := range specs {
-			specs[i] = server.WorkerSpec{
-				ID:      "w" + strconv.Itoa(i),
-				Quality: 0.55 + 0.4*rng.Float64(),
-				Cost:    1 + 9*rng.Float64(),
-			}
-		}
 		if _, err := srv.Registry().Register(context.Background(), specs, 0); err != nil {
 			b.Fatal(err)
 		}
 		h := srv.Handler()
-		body := []byte(`{"budget":40}`)
+		bodies := make([][]byte, len(budgets))
+		for i, budget := range budgets {
+			bodies[i] = []byte(`{"budget":` + budget + `}`)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			req := httptest.NewRequest(http.MethodPost, "/v1/select", bytes.NewReader(body))
+			req := httptest.NewRequest(http.MethodPost, "/v1/select", bytes.NewReader(bodies[i%len(bodies)]))
 			w := httptest.NewRecorder()
 			h.ServeHTTP(w, req)
 			if w.Code != http.StatusOK {
@@ -442,9 +440,27 @@ func BenchmarkServerSelect(b *testing.B) {
 			}
 		}
 	}
-	b.Run("cached", func(b *testing.B) { run(b, 0, 0) })
-	b.Run("cached-untraced", func(b *testing.B) { run(b, 0, -1) })
-	b.Run("uncached", func(b *testing.B) { run(b, -1, 0) })
+	rng := rand.New(rand.NewSource(42))
+	random := make([]server.WorkerSpec, 60)
+	for i := range random {
+		random[i] = server.WorkerSpec{
+			ID:      "w" + strconv.Itoa(i),
+			Quality: 0.55 + 0.4*rng.Float64(),
+			Cost:    1 + 9*rng.Float64(),
+		}
+	}
+	grid := make([]server.WorkerSpec, 128)
+	for k := range grid {
+		grid[k] = server.WorkerSpec{
+			ID:      "g" + strconv.Itoa(k),
+			Quality: math.Round((0.55+0.4*(float64(k)+0.5)/128)*1000) / 1000,
+			Cost:    float64(1 + 3*k%5),
+		}
+	}
+	b.Run("cached", func(b *testing.B) { run(b, 0, 0, random, "40") })
+	b.Run("cached-untraced", func(b *testing.B) { run(b, 0, -1, random, "40") })
+	b.Run("uncached", func(b *testing.B) { run(b, -1, 0, random, "40") })
+	b.Run("uncached-n128", func(b *testing.B) { run(b, -1, 0, grid, "10", "15", "20") })
 }
 
 // BenchmarkServerMultiSelect measures the multi-choice serving path end

@@ -20,14 +20,21 @@
 // log-odds, or allocating:
 //
 //   - jq.NewEstimator: the Algorithm 1 bucket approximation of JQ under
-//     Bayesian Voting. Per-worker log-odds are precomputed, the bucket DP
-//     runs in reusable scratch buffers, and results are memoized on the
-//     jury's canonical (sorted-index) signature, so juries revisited
-//     during a search are answered from the table. Eval results are
-//     bit-identical to the one-shot jq.Estimate on the same subset; the
-//     memo is capped (Options.MemoLimit, default jq.DefaultMemoLimit)
-//     and its effectiveness is observable via Stats().Hits/Misses,
-//     alongside the per-call KeysVisited/KeysPruned counters.
+//     Bayesian Voting. Per-worker log-odds are precomputed, and the
+//     bucket DP keeps only its live keys, as one ascending (key, prob)
+//     run per step in reusable scratch: a step trims the pruned ends and
+//     merges the up-shifted and down-shifted copies of the survivors, so
+//     it costs O(live keys) rather than a scan of the whole key window.
+//     Results are memoized on the jury's bitmask over the pool, indexed
+//     by a 64-bit hash and verified against the stored mask on every hit
+//     (internal/setmemo, shared with multichoice.Estimator), so juries
+//     revisited during a search are answered from the table without
+//     allocating. Eval results are bit-identical to the one-shot
+//     jq.Estimate on the same subset, and the sparse DP to the dense one
+//     it replaced; the memo is capped (Options.MemoLimit, default
+//     jq.DefaultMemoLimit) and its effectiveness is observable via
+//     Stats().Hits/Misses, alongside the per-call KeysVisited/KeysPruned
+//     counters.
 //   - jq.NewMVEvaluator: the Majority Voting closed form with
 //     O(n)-update delta evaluation. A stack of Poisson-binomial DP
 //     snapshots (one per jury prefix) makes adding a worker one O(n) row

@@ -9,21 +9,10 @@ import (
 	"repro/internal/worker"
 )
 
-// dpBuffers recycles the dense DP arrays across Estimate calls: the
-// annealing search evaluates thousands of juries, and the two O(n·buckets)
-// slices dominated its allocation profile. Buffers are returned all-zero
-// (the DP zeroes every slot it consumes), so acquisition never needs to
-// clear them.
-var dpBuffers = sync.Pool{New: func() any { b := make([]float64, 0); return &b }}
-
-func acquireBuffer(size int) *[]float64 {
-	b := dpBuffers.Get().(*[]float64)
-	if cap(*b) < size {
-		*b = make([]float64, size)
-	}
-	*b = (*b)[:size]
-	return b
-}
+// scratches recycles the sparse DP runs across Estimate calls: the
+// annealing search evaluates thousands of juries, and per-call run
+// slices would dominate its allocation profile.
+var scratches = sync.Pool{New: func() any { return new(dpScratch) }}
 
 // DefaultNumBuckets is the bucket count used by the paper's experiments
 // (Section 6.1.1). The analytic error bound below 1% needs numBuckets ≥
@@ -49,7 +38,8 @@ type Options struct {
 	// by the one-shot Estimate, which never memoizes.
 	DisableMemo bool
 	// MemoLimit caps the number of juries the Estimator memoizes; zero
-	// selects DefaultMemoLimit. Ignored by Estimate.
+	// selects DefaultMemoLimit and a negative value is rejected. Ignored
+	// by Estimate.
 	MemoLimit int
 }
 
@@ -86,7 +76,8 @@ type Result struct {
 //
 // The returned estimate is a lower bound on the true JQ with additive error
 // below Result.Bound, which is < 1% when numBuckets ≥ 200·n (Section 4.4).
-// Time is O(numBuckets · n²) and memory O(numBuckets · n).
+// Time is O(n · live keys), where a step's live keys number at most
+// min(2ⁿ, 2·Σbᵢ+1), and memory is O(Σbᵢ) ⊆ O(numBuckets · n).
 func Estimate(pool worker.Pool, alpha float64, opts Options) (Result, error) {
 	if err := pool.Validate(); err != nil {
 		return Result{}, err
@@ -133,17 +124,14 @@ func Estimate(pool worker.Pool, alpha float64, opts Options) (Result, error) {
 	}
 	delta := upper / float64(opts.NumBuckets)
 	workers := make([]bucketedWorker, n)
-	span := 0
 	for i := range qs {
 		workers[i] = bucketedWorker{b: bucketOf(phis[i], delta), q: qs[i]}
-		span += workers[i].b
 	}
 
 	res := Result{Bound: ErrorBound(n, upper, opts.NumBuckets)}
-	curBuf, nextBuf := acquireBuffer(2*span+1), acquireBuffer(2*span+1)
-	defer dpBuffers.Put(curBuf)
-	defer dpBuffers.Put(nextBuf)
-	bucketDP(workers, make([]int, n+1), *curBuf, *nextBuf, opts.DisablePruning, &res)
+	dp := scratches.Get().(*dpScratch)
+	defer scratches.Put(dp)
+	dp.run(workers, opts.DisablePruning, &res)
 	return res, nil
 }
 
@@ -159,16 +147,30 @@ func bucketOf(phi, delta float64) int {
 	return int(math.Ceil(phi/delta - 0.5))
 }
 
-// bucketDP runs the sorted (key, prob) dynamic program of Algorithms 1–2
-// over the bucketized jury, accumulating the estimate and work counters
-// into res. It is the single shared core of Estimate and Estimator, which
-// keeps the two paths bit-identical by construction.
+// dpScratch holds the sparse DP's runs: the live keys of one step in
+// ascending order and their probabilities, plus the next step's run and
+// Algorithm 2's suffix sums. Every slice is reused across runs.
+type dpScratch struct {
+	aggregate     []int
+	keys, nkeys   []int
+	probs, nprobs []float64
+}
+
+// run is the sorted (key, prob) dynamic program of Algorithms 1–2 over
+// the bucketized jury, accumulating the estimate and work counters into
+// res. It is the single shared core of Estimate and Estimator, which
+// keeps the two paths bit-identical by construction. workers holds the
+// jury in evaluation order and is sorted in place by decreasing bucket.
 //
-// workers holds the jury in evaluation order and is sorted in place by
-// decreasing bucket. aggregate must have length len(workers)+1; cur and
-// next must both be all-zero with length 2·span+1 where span = Σ b_i, and
-// are returned all-zero (every consumed slot is re-zeroed).
-func bucketDP(workers []bucketedWorker, aggregate []int, cur, next []float64, disablePruning bool, res *Result) {
+// The DP keeps only the live keys, as one ascending run. Each step first
+// prunes the run's ends, then merges the two shifted copies of the
+// survivors (vote 0: key+b, weight q; vote 1: key−b, weight 1−q) into the
+// next run. Every float operation is one a dense scan of the key window
+// in ascending key order performs, on the same operands and in the same
+// order: pruned mass joins the estimate by ascending key, a key reached by
+// both votes sums its two terms, and the final sum runs by ascending key,
+// so results do not depend on how sparse the window is.
+func (dp *dpScratch) run(workers []bucketedWorker, disablePruning bool, res *Result) {
 	n := len(workers)
 	// Sort by decreasing bucket so the largest keys appear first, making
 	// the pruning suffix-bound as tight as possible as early as possible.
@@ -178,77 +180,91 @@ func bucketDP(workers []bucketedWorker, aggregate []int, cur, next []float64, di
 
 	// aggregate[i] = Σ_{j ≥ i} b_j: the largest swing the remaining
 	// workers can still apply to a key (Algorithm 2's AggregateBucket).
+	aggregate := slices.Grow(dp.aggregate[:0], n+1)[:n+1]
 	aggregate[n] = 0
 	for i := n - 1; i >= 0; i-- {
 		aggregate[i] = aggregate[i+1] + workers[i].b
 	}
-	span := aggregate[0] // Σ b_i bounds |key| over the whole run
 
-	// Dense DP over keys in [−span, span], stored at offset +span. The two
-	// buffers are swapped each iteration; [lo, hi] tracks the live window.
-	cur[span] = 1 // SM[0] = 1
-	lo, hi := span, span
+	// The run holds only keys of nonzero probability: a child whose
+	// probability underflows to 0 is dropped, as the dense scan skipped
+	// zero slots. Every key lies in [−Σb, Σb], so no run outgrows 2·Σb+1
+	// entries.
+	size := 2*aggregate[0] + 1
+	keys, probs := slices.Grow(dp.keys[:0], size), slices.Grow(dp.probs[:0], size)
+	nkeys, nprobs := slices.Grow(dp.nkeys[:0], size), slices.Grow(dp.nprobs[:0], size)
+	keys, probs = append(keys, 0), append(probs, 1) // SM[0] = 1
 	var estimate float64
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && len(keys) > 0; i++ {
 		b, q := workers[i].b, workers[i].q
 		remaining := aggregate[i]
-		newLo, newHi := len(next), -1
-		for k := lo; k <= hi; k++ {
-			prob := cur[k]
-			if prob == 0 {
-				continue
+		res.KeysVisited += len(keys)
+		// Prune pass. Algorithm 2: once |key| exceeds the remaining swing
+		// the final sign is fixed; positive keys contribute their full
+		// descendant mass (the vote-probability factors sum to 1), negative
+		// keys contribute nothing. In an ascending run the pruned keys are
+		// a prefix (key < −remaining) and a suffix (key > remaining); the
+		// survivors between them stay in place.
+		lo, hi := 0, len(keys)
+		if !disablePruning {
+			for lo < hi && keys[lo] < -remaining {
+				lo++
 			}
-			cur[k] = 0
-			res.KeysVisited++
-			key := k - span
-			if !disablePruning {
-				// Algorithm 2: once |key| exceeds the remaining swing the
-				// final sign is fixed; positive keys contribute their full
-				// descendant mass (the vote-probability factors sum to 1),
-				// negative keys contribute nothing.
-				if key > 0 && key-remaining > 0 {
-					estimate += prob
-					res.KeysPruned++
-					continue
-				}
-				if key < 0 && key+remaining < 0 {
-					res.KeysPruned++
-					continue
-				}
+			for hi > lo && keys[hi-1] > remaining {
+				hi--
 			}
-			up, down := k+b, k-b
-			next[up] += prob * q // v_i = 0: key + b_i, weight q_i
-			next[down] += prob * (1 - q)
-			if down < newLo {
-				newLo = down
+			for _, prob := range probs[hi:] {
+				estimate += prob
 			}
-			if up > newHi {
-				newHi = up
+			res.KeysPruned += lo + len(keys) - hi
+		}
+		sk, sp := keys[lo:hi], probs[lo:hi]
+		m := len(sk)
+		// Merge pass. A down key never passes the up key of the same
+		// parent, so the down run is exhausted first.
+		p := 1 - q
+		nkeys, nprobs = nkeys[:size], nprobs[:size]
+		u, d, o := 0, 0, 0
+		for d < m {
+			var key int
+			var prob float64
+			switch uk, dk := sk[u]+b, sk[d]-b; {
+			case dk < uk:
+				key, prob = dk, sp[d]*p
+				d++
+			case dk > uk:
+				key, prob = uk, sp[u]*q
+				u++
+			default:
+				key, prob = uk, sp[u]*q+sp[d]*p
+				u++
+				d++
+			}
+			nkeys[o], nprobs[o] = key, prob
+			if prob != 0 {
+				o++
 			}
 		}
-		cur, next = next, cur
-		if newHi < newLo { // everything pruned
-			lo, hi = span, span
-			cur[span] = 0
-			break
+		for ; u < m; u++ {
+			nkeys[o], nprobs[o] = sk[u]+b, sp[u]*q
+			if nprobs[o] != 0 {
+				o++
+			}
 		}
-		lo, hi = newLo, newHi
+		keys, nkeys = nkeys[:o], keys
+		probs, nprobs = nprobs[:o], probs
 	}
 	// Final evaluation: keys > 0 contribute fully, key = 0 half.
-	for k := lo; k <= hi; k++ {
-		prob := cur[k]
-		if prob == 0 {
-			continue
-		}
-		cur[k] = 0
-		switch key := k - span; {
+	for j, key := range keys {
+		switch {
 		case key > 0:
-			estimate += prob
+			estimate += probs[j]
 		case key == 0:
-			estimate += 0.5 * prob
+			estimate += 0.5 * probs[j]
 		}
 	}
 	res.JQ = estimate
+	dp.aggregate, dp.keys, dp.nkeys, dp.probs, dp.nprobs = aggregate, keys, nkeys, probs, nprobs
 }
 
 // ErrorBound returns the additive approximation bound of Section 4.4,

@@ -350,8 +350,8 @@ func TestEstimateReusesBuffers(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Without pooling this was dominated by two ~4000-element slices; with
-	// pooling only small fixed allocations (worker copies, sort) remain.
+	// Without pooling the DP's run slices would dominate; with pooling only
+	// small fixed allocations (worker copies, sort) remain.
 	if allocs > 15 {
 		t.Fatalf("allocations per Estimate = %v, want ≤ 15", allocs)
 	}

@@ -1,17 +1,17 @@
 package jq
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 
+	"repro/internal/setmemo"
 	"repro/internal/worker"
 )
 
-// DefaultMemoLimit caps the Estimator's memo table. At ~80 bytes per
-// entry the default bounds the table near 10 MB, far beyond what one
+// DefaultMemoLimit caps the Estimator's memo table. An entry holds the
+// jury's mask, its Result and an index slot: ~80 bytes at a pool of 128,
+// so the default bounds the table near 10 MB, far beyond what one
 // annealing run visits, while keeping a runaway caller from exhausting
 // memory.
 const DefaultMemoLimit = 1 << 17
@@ -40,14 +40,16 @@ type EstimatorStats struct {
 // of the pool without re-validating, re-normalizing, or recomputing
 // log-odds, and without per-call allocation. Results are bit-identical
 // to the one-shot Estimate on the same subset: both run the shared
-// bucketDP core on identically assembled inputs.
+// sparse DP core (dpScratch.run) on identically assembled inputs.
 //
-// Eval sorts the indices into canonical ascending order before
-// evaluating, so the result (and the memo key) is independent of the
-// order the search produced the jury in; a duplicated index counts as
-// two jury members, exactly as Pool.Subset would materialize it. Juries
-// revisited during a search — ubiquitous under simulated annealing —
-// are answered from a memo table keyed on the canonical signature.
+// Eval takes the jury as a bitmask over the pool and evaluates its
+// members in canonical ascending order, so the result (and the memo key)
+// is independent of the order the search produced the jury in. Juries
+// revisited during a search — ubiquitous under simulated annealing — are
+// answered from a hash-indexed memo of jury masks, verified on every hit.
+// An index list that is not a set (a duplicated index counts as two jury
+// members, exactly as Pool.Subset would materialize it) is sorted and
+// evaluated without the memo.
 //
 // An Estimator is NOT safe for concurrent use: it owns scratch buffers
 // and the memo table. Parallel searches must construct one each.
@@ -66,15 +68,14 @@ type Estimator struct {
 	priorPhi float64
 
 	// Scratch, reused across evaluations.
-	idx       []int
-	workers   []bucketedWorker
-	aggregate []int
-	cur, next []float64
-	keyBuf    []byte
+	key     setmemo.Set // the jury being evaluated
+	idx     []int       // its members, ascending
+	bitsIdx []int       // EvalBits' members
+	workers []bucketedWorker
+	dp      dpScratch
 
-	memo      map[string]Result
-	memoLimit int
-	stats     EstimatorStats
+	memo  *setmemo.Memo[Result] // nil with DisableMemo
+	stats EstimatorStats
 }
 
 // phiOf is the Bayesian log-odds weight of a normalized quality; the
@@ -97,12 +98,16 @@ func NewEstimator(pool worker.Pool, alpha float64, opts Options) (*Estimator, er
 	if opts.NumBuckets < 1 {
 		return nil, fmt.Errorf("jq: NumBuckets must be positive, got %d", opts.NumBuckets)
 	}
+	if opts.MemoLimit < 0 {
+		return nil, fmt.Errorf("jq: MemoLimit must not be negative, got %d", opts.MemoLimit)
+	}
 	e := &Estimator{
 		alpha:    alpha,
 		opts:     opts,
 		poolSize: len(pool),
 		qs:       make([]float64, len(pool)),
 		phis:     make([]float64, len(pool)),
+		key:      make(setmemo.Set, setmemo.Words(len(pool))),
 	}
 	for i, w := range pool {
 		q := w.Quality
@@ -122,11 +127,11 @@ func NewEstimator(pool worker.Pool, alpha float64, opts Options) (*Estimator, er
 		e.priorPhi = phiOf(q)
 	}
 	if !opts.DisableMemo {
-		e.memoLimit = opts.MemoLimit
-		if e.memoLimit == 0 {
-			e.memoLimit = DefaultMemoLimit
+		limit := opts.MemoLimit
+		if limit == 0 {
+			limit = DefaultMemoLimit
 		}
-		e.memo = make(map[string]Result)
+		e.memo = setmemo.New[Result](len(pool), limit)
 	}
 	return e, nil
 }
@@ -137,7 +142,7 @@ func (e *Estimator) Alpha() float64 { return e.alpha }
 // Stats returns the evaluation and memoization counters.
 func (e *Estimator) Stats() EstimatorStats {
 	s := e.stats
-	s.MemoEntries = len(e.memo)
+	s.MemoEntries = e.memo.Len()
 	return s
 }
 
@@ -149,58 +154,46 @@ func (e *Estimator) Stats() EstimatorStats {
 // including the KeysVisited/KeysPruned counters. An empty subset returns
 // worker.ErrEmptyPool, as Estimate does on an empty jury.
 func (e *Estimator) Eval(indices []int) (Result, error) {
-	e.idx = append(e.idx[:0], indices...)
-	slices.Sort(e.idx)
-	return e.evalCanonical()
-}
-
-// EvalBits evaluates the jury given as a bitmask over pool indices: bit
-// i%64 of word i/64 selects worker i. Bit order is already canonical, so
-// no sort is needed.
-func (e *Estimator) EvalBits(mask []uint64) (Result, error) {
-	e.idx = e.idx[:0]
-	for w, word := range mask {
-		for word != 0 {
-			e.idx = append(e.idx, w*64+bits.TrailingZeros64(word))
-			word &= word - 1
-		}
-	}
-	return e.evalCanonical()
-}
-
-// evalCanonical evaluates e.idx, which must already be sorted ascending.
-func (e *Estimator) evalCanonical() (Result, error) {
-	if len(e.idx) == 0 {
+	if len(indices) == 0 {
 		return Result{}, worker.ErrEmptyPool
 	}
-	if e.idx[0] < 0 || e.idx[len(e.idx)-1] >= e.poolSize {
-		return Result{}, fmt.Errorf("%w: n=%d, indices %v", ErrIndexRange, e.poolSize, e.idx)
+	if !e.key.Fill(indices, e.poolSize) {
+		return e.evalSorted(indices)
 	}
 	e.stats.Evals++
 	if e.memo != nil {
-		e.signature()
-		if res, ok := e.memo[string(e.keyBuf)]; ok {
+		if res, ok := e.memo.Get(e.key); ok {
 			e.stats.Hits++
 			return res, nil
 		}
 	}
 	e.stats.Misses++
+	e.idx = e.key.AppendMembers(e.idx[:0])
 	res := e.evalSubset()
-	if e.memo != nil && len(e.memo) < e.memoLimit {
-		e.memo[string(e.keyBuf)] = res
+	if e.memo != nil {
+		e.memo.Put(e.key, res)
 	}
 	return res, nil
 }
 
-// signature encodes the canonical subset into keyBuf as varint deltas.
-func (e *Estimator) signature() {
-	b := e.keyBuf[:0]
-	prev := 0
-	for _, i := range e.idx {
-		b = binary.AppendUvarint(b, uint64(i-prev))
-		prev = i
+// EvalBits evaluates the jury given as a bitmask over pool indices: bit
+// i%64 of word i/64 selects worker i.
+func (e *Estimator) EvalBits(mask []uint64) (Result, error) {
+	e.bitsIdx = setmemo.Set(mask).AppendMembers(e.bitsIdx[:0])
+	return e.Eval(e.bitsIdx)
+}
+
+// evalSorted evaluates an index list that is not a set — it repeats an
+// index or leaves the pool — in ascending order, bypassing the memo.
+func (e *Estimator) evalSorted(indices []int) (Result, error) {
+	e.idx = append(e.idx[:0], indices...)
+	slices.Sort(e.idx)
+	if e.idx[0] < 0 || e.idx[len(e.idx)-1] >= e.poolSize {
+		return Result{}, fmt.Errorf("%w: n=%d, indices %v", ErrIndexRange, e.poolSize, e.idx)
 	}
-	e.keyBuf = b
+	e.stats.Evals++
+	e.stats.Misses++
+	return e.evalSubset(), nil
 }
 
 // evalSubset mirrors Estimate step for step on the precomputed data.
@@ -245,29 +238,14 @@ func (e *Estimator) evalSubset() Result {
 		e.workers = make([]bucketedWorker, 0, 2*n)
 	}
 	ws := e.workers[:0]
-	span := 0
 	for _, i := range e.idx {
-		b := bucketOf(e.phis[i], delta)
-		ws = append(ws, bucketedWorker{b: b, q: e.qs[i]})
-		span += b
+		ws = append(ws, bucketedWorker{b: bucketOf(e.phis[i], delta), q: e.qs[i]})
 	}
 	if e.hasPrior {
-		b := bucketOf(e.priorPhi, delta)
-		ws = append(ws, bucketedWorker{b: b, q: e.priorQ})
-		span += b
-	}
-	if cap(e.aggregate) < n+1 {
-		e.aggregate = make([]int, n+1)
-	}
-	// The DP buffers must be all-zero; bucketDP re-zeroes every slot it
-	// consumes, so only growth requires a fresh (zeroed) allocation.
-	if need := 2*span + 1; cap(e.cur) < need {
-		e.cur = make([]float64, need)
-		e.next = make([]float64, need)
+		ws = append(ws, bucketedWorker{b: bucketOf(e.priorPhi, delta), q: e.priorQ})
 	}
 	res := Result{Bound: ErrorBound(n, upper, e.opts.NumBuckets)}
-	span2 := 2*span + 1
-	bucketDP(ws, e.aggregate[:n+1], e.cur[:span2], e.next[:span2], e.opts.DisablePruning, &res)
+	e.dp.run(ws, e.opts.DisablePruning, &res)
 	return res
 }
 

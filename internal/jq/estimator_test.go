@@ -246,6 +246,117 @@ func TestEstimatorSteadyStateAllocations(t *testing.T) {
 	}
 }
 
+// The memo path is allocation-free too: every hit allocates nothing, and
+// inserts allocate only when the memo's index or arena grows — a handful
+// of times per doubling, not once per jury.
+func TestEstimatorMemoSteadyStateAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	qs := make([]float64, 128)
+	for i := range qs {
+		qs[i] = 0.5 + 0.49*rng.Float64()
+	}
+	pool := worker.UniformCost(qs, 1)
+	est, err := NewEstimator(pool, 0.5, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jury := func() []int { return rng.Perm(len(pool))[:5+rng.Intn(10)] }
+	seen := make([][]int, 64)
+	for i := range seen {
+		seen[i] = jury()
+		if _, err := est.Eval(seen[i]); err != nil { // warm scratch, fill memo
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		for _, s := range seen {
+			if _, err := est.Eval(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); allocs != 0 {
+		t.Fatalf("memo hits allocate %v times per 64-jury round, want 0", allocs)
+	}
+	fresh := make([][]int, 1024)
+	for i := range fresh {
+		fresh[i] = jury()
+	}
+	before := est.Stats()
+	allocs := testing.AllocsPerRun(1, func() {
+		for _, s := range fresh {
+			if _, err := est.Eval(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	after := est.Stats()
+	inserts := after.MemoEntries - before.MemoEntries
+	if inserts < 900 {
+		t.Fatalf("only %d of %d fresh juries were inserted", inserts, len(fresh))
+	}
+	if allocs > 64 {
+		t.Fatalf("%d memo inserts allocate %v times, want only table growth (≤ 64)", inserts, allocs)
+	}
+}
+
+// Index lists that are not sets — a repeated index, an index outside the
+// pool — keep their results and errors: a repeat counts twice, as
+// Pool.Subset materializes it, and is never stored in the memo.
+func TestEstimatorNonSetIndices(t *testing.T) {
+	pool := worker.UniformCost([]float64{0.7, 0.8, 0.65, 0.9}, 1)
+	est, err := NewEstimator(pool, 0.4, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, subset := range [][]int{{2, 0, 2}, {1, 1}, {3, 0, 3, 3}} {
+		for pass := 0; pass < 2; pass++ {
+			got, err := est.Eval(subset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Estimate(pool.Subset(sortedInts(subset)), 0.4, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("Eval(%v) = %+v, want %+v", subset, got, want)
+			}
+		}
+	}
+	if s := est.Stats(); s.MemoEntries != 0 || s.Hits != 0 || s.Evals != 6 {
+		t.Fatalf("stats after repeated-index juries = %+v, want 6 evals and an empty memo", s)
+	}
+	for _, subset := range [][]int{{4}, {0, 1, 4}, {2, -1}, {1, 1, 7}} {
+		if _, err := est.Eval(subset); !errors.Is(err, ErrIndexRange) {
+			t.Fatalf("Eval(%v): got %v, want ErrIndexRange", subset, err)
+		}
+	}
+	if _, err := est.EvalBits([]uint64{1 << 5}); !errors.Is(err, ErrIndexRange) {
+		t.Fatalf("EvalBits past the pool: got %v, want ErrIndexRange", err)
+	}
+	// MemoEntries counts the stored juries, one per distinct set.
+	for _, subset := range [][]int{{0, 1}, {1, 0}, {2}, {0, 1, 2}} {
+		if _, err := est.Eval(subset); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := est.Stats(); s.MemoEntries != 3 || s.Hits != 1 {
+		t.Fatalf("stats = %+v, want 3 memo entries and 1 hit", s)
+	}
+}
+
+// A negative MemoLimit used to be accepted and left a memo that computed a
+// key on every evaluation yet never stored one; it is rejected like a
+// non-positive NumBuckets.
+func TestNewEstimatorRejectsNegativeMemoLimit(t *testing.T) {
+	pool := worker.UniformCost([]float64{0.7, 0.8}, 1)
+	for _, opts := range []Options{{MemoLimit: -1}, {MemoLimit: -1, DisableMemo: true}} {
+		if _, err := NewEstimator(pool, 0.5, opts); err == nil {
+			t.Fatalf("NewEstimator accepted %+v", opts)
+		}
+	}
+}
+
 // The MV delta evaluator must reproduce MajorityClosedForm bit for bit
 // across arbitrary subset sequences (the rollback/extend machinery must
 // not disturb a single ulp).

@@ -6,6 +6,8 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+
+	"repro/internal/setmemo"
 )
 
 // MaxEstimateBuckets bounds the margin resolution of EstimateBV and
@@ -33,6 +35,7 @@ const estimatorMemoLimit = 1 << 17
 // Eval scores the jury in ascending pool-index order whatever order the
 // indices arrive in: the estimate is a function of the jury set, and
 // equals EstimateBV(pool.Subset(sorted), prior, numBuckets) bit for bit.
+// The memo is keyed on the jury's bitmask over the pool.
 //
 // An Estimator owns scratch state and is NOT safe for concurrent use.
 type Estimator struct {
@@ -46,9 +49,9 @@ type Estimator struct {
 	expC      []float64 // math.Exp(logC): the DP's per-vote probabilities
 	upper     []float64 // per worker: max |logC[t1][v] − logC[t2][v]|
 
-	order []int  // the jury being scored, ascending
-	mask  []byte // memo key: the jury as a bitmask over the pool
-	memo  map[string]float64
+	order []int       // the jury being scored, ascending
+	key   setmemo.Set // the jury as a bitmask over the pool
+	memo  setmemo.Memo[float64]
 	hits  int // evaluations answered from memo
 
 	dp dpState
@@ -108,7 +111,8 @@ func (e *Estimator) reset(pool Pool, prior Prior, numBuckets int) error {
 		}
 		e.upper = append(e.upper, upper)
 	}
-	clear(e.memo)
+	e.key = slices.Grow(e.key[:0], setmemo.Words(len(pool)))[:setmemo.Words(len(pool))]
+	e.memo.Reset(len(pool), estimatorMemoLimit)
 	e.hits = 0
 	return nil
 }
@@ -117,33 +121,36 @@ func (e *Estimator) reset(pool Pool, prior Prior, numBuckets int) error {
 // in any order. Indices must be distinct and in range; the empty jury
 // scores max_t prior[t], the Bayesian answer from the prior alone.
 func (e *Estimator) Eval(indices []int) (float64, error) {
-	e.order = append(e.order[:0], indices...)
-	slices.Sort(e.order)
-	e.mask = append(e.mask[:0], make([]byte, (len(e.pool)+7)/8)...)
-	for k, i := range e.order {
-		if i < 0 || i >= len(e.pool) {
-			return 0, fmt.Errorf("%w: index %d outside a pool of %d", ErrArity, i, len(e.pool))
-		}
-		if k > 0 && e.order[k-1] == i {
-			return 0, fmt.Errorf("%w: index %d repeated", ErrArity, i)
-		}
-		e.mask[i/8] |= 1 << (i % 8)
+	if !e.key.Fill(indices, len(e.pool)) {
+		return 0, e.arityError(indices)
 	}
-	if jq, ok := e.memo[string(e.mask)]; ok {
+	if jq, ok := e.memo.Get(e.key); ok {
 		e.hits++
 		return jq, nil
 	}
+	e.order = e.key.AppendMembers(e.order[:0])
 	jq, err := e.estimate(e.order)
 	if err != nil {
 		return 0, err
 	}
-	if e.memo == nil {
-		e.memo = make(map[string]float64)
-	}
-	if len(e.memo) < estimatorMemoLimit {
-		e.memo[string(e.mask)] = jq
-	}
+	e.memo.Put(e.key, jq)
 	return jq, nil
+}
+
+// arityError reports the first out-of-range or repeated index of a list
+// that is not a set, in ascending order.
+func (e *Estimator) arityError(indices []int) error {
+	e.order = append(e.order[:0], indices...)
+	slices.Sort(e.order)
+	for k, i := range e.order {
+		if i < 0 || i >= len(e.pool) {
+			return fmt.Errorf("%w: index %d outside a pool of %d", ErrArity, i, len(e.pool))
+		}
+		if k > 0 && e.order[k-1] == i {
+			return fmt.Errorf("%w: index %d repeated", ErrArity, i)
+		}
+	}
+	panic("multichoice: arityError on a set")
 }
 
 // estimate runs the bucketed DP over the workers of order, in that order.

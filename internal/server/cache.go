@@ -49,9 +49,11 @@ func (s CacheStats) HitRate() float64 {
 }
 
 // SelectionCache is a bounded LRU cache of completed selections — both
-// binary (SelectResponse) and multi-choice (the jury's indices and
+// binary (a selectionEntry) and multi-choice (the jury's indices and
 // scores, a multichoice.SelectionResult without Jury), whose key spaces
-// are disjoint by construction. Keys embed the pool
+// are disjoint by construction. An entry keeps only what the search
+// computed: the rest of the response follows from the request and the
+// pool snapshot the key's signature pins. Keys embed the pool
 // signature, so entries computed against superseded worker states become
 // unreachable the moment a vote ingest (or any registry mutation)
 // changes a quality, cost, or confusion-matrix entry; LRU eviction
@@ -66,7 +68,15 @@ type SelectionCache struct {
 
 type cacheEntry struct {
 	key string
-	res any // SelectResponse or multichoice.SelectionResult
+	res any // selectionEntry or multichoice.SelectionResult
+}
+
+// selectionEntry is a cached binary selection: the jury's indices into
+// the snapshot pool, ascending, and the search's scores.
+type selectionEntry struct {
+	Indices     []int32
+	JQ, Cost    float64
+	Evaluations int
 }
 
 // NewSelectionCache builds a cache holding up to capacity entries;
@@ -84,16 +94,16 @@ func NewSelectionCache(capacity int) *SelectionCache {
 }
 
 // Get looks up a binary selection, promoting the entry on hit.
-func (c *SelectionCache) Get(key SelectionKey) (SelectResponse, bool) {
+func (c *SelectionCache) Get(key SelectionKey) (selectionEntry, bool) {
 	v, ok := c.lookup(key.String())
 	if !ok {
-		return SelectResponse{}, false
+		return selectionEntry{}, false
 	}
-	return v.(SelectResponse), true
+	return v.(selectionEntry), true
 }
 
 // Put stores a completed binary selection.
-func (c *SelectionCache) Put(key SelectionKey, res SelectResponse) {
+func (c *SelectionCache) Put(key SelectionKey, res selectionEntry) {
 	c.store(key.String(), res)
 }
 

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 )
@@ -17,7 +20,7 @@ func TestCacheHitMiss(t *testing.T) {
 	if _, ok := c.Get(k); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put(k, SelectResponse{JQ: 0.9})
+	c.Put(k, selectionEntry{JQ: 0.9})
 	res, ok := c.Get(k)
 	if !ok || res.JQ != 0.9 {
 		t.Fatalf("Get after Put = %+v, %v", res, ok)
@@ -34,7 +37,7 @@ func TestCacheHitMiss(t *testing.T) {
 func TestCacheKeyDiscriminates(t *testing.T) {
 	c := NewSelectionCache(8)
 	base := SelectionKey{Signature: "sig", Strategy: "bv", Budget: 10, Alpha: 0.5, Seed: 1}
-	c.Put(base, SelectResponse{JQ: 1})
+	c.Put(base, selectionEntry{JQ: 1})
 	variants := []SelectionKey{
 		{Signature: "sig2", Strategy: "bv", Budget: 10, Alpha: 0.5, Seed: 1},
 		{Signature: "sig", Strategy: "mv", Budget: 10, Alpha: 0.5, Seed: 1},
@@ -54,12 +57,12 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewSelectionCache(2)
-	c.Put(key("s", 1), SelectResponse{JQ: 1})
-	c.Put(key("s", 2), SelectResponse{JQ: 2})
+	c.Put(key("s", 1), selectionEntry{JQ: 1})
+	c.Put(key("s", 2), selectionEntry{JQ: 2})
 	if _, ok := c.Get(key("s", 1)); !ok { // promote budget 1
 		t.Fatal("entry 1 missing")
 	}
-	c.Put(key("s", 3), SelectResponse{JQ: 3}) // evicts budget 2 (LRU)
+	c.Put(key("s", 3), selectionEntry{JQ: 3}) // evicts budget 2 (LRU)
 	if _, ok := c.Get(key("s", 2)); ok {
 		t.Fatal("LRU entry not evicted")
 	}
@@ -73,7 +76,7 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheDisabled(t *testing.T) {
 	c := NewSelectionCache(-1)
-	c.Put(key("s", 1), SelectResponse{JQ: 1})
+	c.Put(key("s", 1), selectionEntry{JQ: 1})
 	if _, ok := c.Get(key("s", 1)); ok {
 		t.Fatal("disabled cache served an entry")
 	}
@@ -178,5 +181,50 @@ func TestConcurrentIngestAndSelect(t *testing.T) {
 	st := s.CacheStats()
 	if st.Hits+st.Misses != 2*perWorker {
 		t.Fatalf("lookup count = %d, want %d", st.Hits+st.Misses, 2*perWorker)
+	}
+}
+
+// A cache hit rebuilds its response from the compact entry and the pool
+// snapshot; its JSON must be byte-identical to the computed response's,
+// except for "cached". Covers /v1/select, with and without a worker
+// subset, and /v1/select/batch.
+func TestCacheHitEncodesLikeComputed(t *testing.T) {
+	s := New(Config{Alpha: 0.5, Seed: 3})
+	specs := make([]WorkerSpec, 12)
+	for i := range specs {
+		specs[i] = WorkerSpec{ID: fmt.Sprintf("w%02d", 11-i), Quality: 0.55 + 0.035*float64(i), Cost: float64(1 + 3*i%5)}
+	}
+	if _, err := s.registry.Register(context.Background(), specs, 0); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	post := func(path, body string) []byte {
+		t.Helper()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader([]byte(body))))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s %s: %d %s", path, body, w.Code, w.Body)
+		}
+		return w.Body.Bytes()
+	}
+	cases := []struct{ path, body string }{
+		{"/v1/select", `{"budget":9}`},
+		{"/v1/select", `{"budget":7,"alpha":0.6,"strategy":"mv","seed":5}`},
+		{"/v1/select", `{"budget":6,"worker_ids":["w07","w02","w10","w02","w05"]}`},
+		{"/v1/select/batch", `{"budgets":[4,8,12],"strategy":"greedy"}`},
+		{"/v1/select/batch", `{"budgets":[5,10],"worker_ids":["w09","w01","w03","w11"]}`},
+	}
+	for _, c := range cases {
+		computed := post(c.path, c.body)
+		cached := post(c.path, c.body)
+		if !bytes.Contains(computed, []byte(`"cached":false`)) || bytes.Contains(computed, []byte(`"cached":true`)) {
+			t.Fatalf("%s %s: first response was not computed: %s", c.path, c.body, computed)
+		}
+		if !bytes.Contains(cached, []byte(`"cached":true`)) || bytes.Contains(cached, []byte(`"cached":false`)) {
+			t.Fatalf("%s %s: repeat was not a cache hit: %s", c.path, c.body, cached)
+		}
+		if asComputed := bytes.ReplaceAll(cached, []byte(`"cached":true`), []byte(`"cached":false`)); !bytes.Equal(asComputed, computed) {
+			t.Fatalf("%s %s: cache hit encodes differently:\n computed %s\n cached   %s", c.path, c.body, computed, cached)
+		}
 	}
 }

@@ -652,7 +652,8 @@ func strategySelector(strategy string, seed int64) (sel selection.Selector, name
 
 // selectOne serves one selection request: cache lookup on the snapshot
 // signature, then compute-and-fill on miss. The selection itself runs on
-// the immutable snapshot, outside any lock.
+// the immutable snapshot, outside any lock, and the response is built
+// from that snapshot whether the jury was computed or cached.
 func (s *Server) selectOne(ctx context.Context, req SelectRequest) (SelectResponse, error) {
 	if req.Budget < 0 || req.Budget != req.Budget {
 		return SelectResponse{}, fmt.Errorf("server: bad budget %v", req.Budget)
@@ -683,33 +684,41 @@ func (s *Server) selectOne(ctx context.Context, req SelectRequest) (SelectRespon
 	tr := obs.TraceFrom(ctx)
 	key := SelectionKey{Signature: sig, Strategy: strategyName, Budget: req.Budget, Alpha: alpha, Seed: keySeed}
 	cacheSpan := tr.Begin(obs.StageCache)
-	res, hit := s.cache.Get(key)
+	entry, hit := s.cache.Get(key)
 	cacheSpan.End()
-	if hit {
-		res.Cached = true
-		return res, nil
+	if !hit {
+		start := time.Now()
+		result, err := sel.Select(pool, req.Budget, alpha)
+		if err != nil {
+			return SelectResponse{}, err
+		}
+		tr.Add(obs.StageEval, start, time.Since(start))
+		s.metrics.SelectionComputed(time.Since(start))
+		entry = selectionEntry{
+			Indices:     make([]int32, len(result.Indices)),
+			JQ:          result.JQ,
+			Cost:        result.Cost,
+			Evaluations: result.Evaluations,
+		}
+		for i, idx := range result.Indices {
+			entry.Indices[i] = int32(idx)
+		}
+		s.cache.Put(key, entry)
 	}
-	start := time.Now()
-	result, err := sel.Select(pool, req.Budget, alpha)
-	if err != nil {
-		return SelectResponse{}, err
-	}
-	tr.Add(obs.StageEval, start, time.Since(start))
-	s.metrics.SelectionComputed(time.Since(start))
-	res = SelectResponse{
-		Jury:        make([]JuryMember, len(result.Indices)),
-		JQ:          result.JQ,
-		Cost:        result.Cost,
+	res := SelectResponse{
+		Jury:        make([]JuryMember, len(entry.Indices)),
+		JQ:          entry.JQ,
+		Cost:        entry.Cost,
 		Budget:      req.Budget,
 		Alpha:       alpha,
 		Strategy:    strategyName,
-		Evaluations: result.Evaluations,
+		Evaluations: entry.Evaluations,
+		Cached:      hit,
 		Signature:   sig,
 	}
-	for i, idx := range result.Indices {
+	for i, idx := range entry.Indices {
 		res.Jury[i] = JuryMember{ID: ids[idx], Quality: pool[idx].Quality, Cost: pool[idx].Cost}
 	}
-	s.cache.Put(key, res)
 	return res, nil
 }
 
